@@ -44,6 +44,7 @@ import (
 	"sisg/internal/benchio"
 	"sisg/internal/corpus"
 	"sisg/internal/experiments"
+	"sisg/internal/model"
 	"sisg/internal/rng"
 	"sisg/internal/server"
 	"sisg/internal/sgns"
@@ -70,7 +71,7 @@ func main() {
 
 		selfCorpus   = flag.String("self-corpus", "tiny", "-self-serve dataset config")
 		selfInflight = flag.Int("self-inflight", 8, "-self-serve admission budget in flat-scan units")
-		selfCache    = flag.Int("self-cache", 0, "-self-serve /similar LRU entries (0 = off)")
+		selfCache    = flag.Int("self-cache", 0, "-self-serve /v1/similar LRU entries (0 = off)")
 		selfDelay    = flag.Duration("self-delay", 0, "-self-serve artificial per-scan delay (makes a tiny corpus behave like a big one)")
 		selfHold     = flag.Duration("self-hold", 500*time.Millisecond, "-self-serve brownout hold window")
 		selfTimeout  = flag.Duration("self-request-timeout", 2*time.Second, "-self-serve per-request deadline")
@@ -438,11 +439,11 @@ func startSelfServer(corpusName string, seed uint64, cfg server.Config) (base st
 	}
 	opt := sgns.Defaults()
 	opt.Epochs = 1
-	model, err := sisg.Train(ds.Dict, ds.Sessions, sisg.VariantSISGFUD, opt)
+	m, err := sisg.Train(ds.Dict, ds.Sessions, sisg.VariantSISGFUD, opt)
 	if err != nil {
 		log.Fatal(err)
 	}
-	s := server.NewConfigured(ds, model, cfg)
+	s := server.NewWithHolder(ds, model.NewHolder(sisg.NewModelSnapshot(m, 1)), cfg)
 
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {

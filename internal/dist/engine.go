@@ -13,6 +13,7 @@ import (
 	"sisg/internal/emb"
 	"sisg/internal/graph"
 	"sisg/internal/rng"
+	"sisg/internal/sgns"
 	"sisg/internal/vocab"
 )
 
@@ -70,6 +71,7 @@ type engine struct {
 
 	counts      []uint64
 	keep        []float32
+	win         sgns.Window
 	totalTokens uint64 // corpus tokens × epochs (per worker scan)
 
 	// tr moves TNS requests between workers: the in-process channel mesh
@@ -154,8 +156,9 @@ func newEngine(dict *vocab.Dict, seqs [][]int32, part *graph.Partition, opt Opti
 		e.totalTokens = 1
 	}
 	if opt.SubsampleT > 0 {
-		e.keep = subsampleKeep(dict, e.counts, corpusTokens, opt.SubsampleT, opt.SIBoost)
+		e.keep = sgns.KeepProbs(dict, e.counts, corpusTokens, opt.SubsampleT, opt.SIBoost)
 	}
+	e.win = sgns.NewWindow(opt.Window, opt.Stride, opt.Directed)
 
 	// Hot set Q (§III-C step 4).
 	e.hotIdx = make([]int32, dict.Len())
@@ -375,26 +378,6 @@ func selectHot(counts []uint64, threshold uint64, topK int) []int32 {
 		out[i] = b.t
 	}
 	return out
-}
-
-func subsampleKeep(dict *vocab.Dict, counts []uint64, total uint64, t, siBoost float64) []float32 {
-	p := make([]float32, len(counts))
-	for i := range counts {
-		if counts[i] == 0 || total == 0 {
-			p[i] = 1
-			continue
-		}
-		f := float64(counts[i]) / float64(total)
-		keep := math.Sqrt(t/f) + t/f
-		if keep > 1 {
-			keep = 1
-		}
-		if dict.KindOf(int32(i)) != vocab.KindItem {
-			keep *= siBoost
-		}
-		p[i] = float32(keep)
-	}
-	return p
 }
 
 // run starts the workers and the health monitor, orchestrates checkpoint

@@ -7,6 +7,7 @@ import (
 
 	"sisg/internal/alias"
 	"sisg/internal/rng"
+	"sisg/internal/sgns"
 	"sisg/internal/vecmath"
 )
 
@@ -30,6 +31,7 @@ type worker struct {
 	hotInBase, hotOutBase [][]float32
 
 	grad []float32
+	negs [][]float32
 	kept []int32
 
 	lr float32
@@ -100,6 +102,7 @@ func newWorker(e *engine, id int, r *rng.RNG) (*worker, error) {
 	w := &worker{
 		e: e, id: int32(id), r: r, opt: &e.opt,
 		grad: make([]float32, e.opt.Dim),
+		negs: make([][]float32, 0, e.opt.Negatives),
 		kept: make([]int32, 0, 128),
 		lr:   e.opt.LR,
 		srng: rng.New(e.opt.Seed ^ (0xbf58476d1ce4e5b9 * uint64(id+1))),
@@ -380,24 +383,12 @@ func (w *worker) scanSequence(seq []int32) {
 	}
 	w.kept = kept
 	done := e.scanTokens.Add(uint64(len(seq)))
-	f := 1 - float32(float64(done)/float64(e.totalTokens*uint64(opt.Workers)))
-	if f < opt.MinLRFrac {
-		f = opt.MinLRFrac
-	}
-	w.lr = opt.LR * f
+	w.lr = sgns.DecayLR(opt.LR, opt.MinLRFrac, done, e.totalTokens*uint64(opt.Workers))
 	if len(kept) < 2 {
 		w.maybeServe()
 		return
 	}
 
-	stride := opt.Stride
-	if stride < 1 {
-		stride = 1
-	}
-	steps := opt.Window / stride
-	if steps < 1 {
-		steps = 1
-	}
 	recovery := opt.Recovery
 	for i := range kept {
 		if w.crashed || (recovery && w.fenced.Load()) {
@@ -406,15 +397,7 @@ func (w *worker) scanSequence(seq []int32) {
 		// Serve pending peer requests between window centers so a remote
 		// caller is never stalled behind this worker's whole scan.
 		w.maybeServe()
-		win := stride * (1 + w.r.Intn(steps))
-		lo := i - win
-		if opt.Directed || lo < 0 {
-			lo = i
-		}
-		hi := i + win
-		if hi >= len(kept) {
-			hi = len(kept) - 1
-		}
+		lo, hi := e.win.Bounds(w.r, i, len(kept))
 		for j := lo; j <= hi; j++ {
 			if j == i {
 				continue
@@ -542,40 +525,18 @@ func (w *worker) trainPair(vi, vj int32) {
 // worker's own pairs, w.srng for served requests (see the field docs).
 func (w *worker) tns(vin []float32, ctx int32, lr float32, r *rng.RNG) []float32 {
 	e := w.e
-	grad := w.grad
-	vecmath.Zero(grad)
-
-	out := e.rowOut(w, ctx)
-	dot := vecmath.Dot(vin, out)
-	if dot != dot {
-		// A non-finite row slipped through (diverged pair); skip rather
-		// than poison the rest of the model.
-		return grad
-	}
-	g := (1 - vecmath.Sigmoid(dot)) * lr
-	vecmath.Axpy(g, out, grad)
-	vecmath.Axpy(g, vin, out)
-
-	if w.noise == nil {
-		return grad
-	}
-	for n := 0; n < w.opt.Negatives; n++ {
-		t := w.noiseTokens[w.noise.Sample(r)]
-		if t == ctx {
-			continue
+	negs := w.negs[:0]
+	if w.noise != nil {
+		for n := 0; n < w.opt.Negatives; n++ {
+			// Negatives come from the local partition ∪ Q, so the row is
+			// always locally writable.
+			if t := w.noiseTokens[w.noise.Sample(r)]; t != ctx {
+				negs = append(negs, e.rowOut(w, t))
+			}
 		}
-		// Negatives come from the local partition ∪ Q, so the row is
-		// always locally writable.
-		out := e.rowOut(w, t)
-		dot := vecmath.Dot(vin, out)
-		if dot != dot {
-			continue
-		}
-		g := (0 - vecmath.Sigmoid(dot)) * lr
-		vecmath.Axpy(g, out, grad)
-		vecmath.Axpy(g, vin, out)
 	}
-	return grad
+	w.negs = negs
+	return sgns.Pair(vin, w.grad, e.rowOut(w, ctx), negs, lr)
 }
 
 // degradePair is the graceful-degradation fallback when out(v_j) is
@@ -593,22 +554,12 @@ func (w *worker) degradePair(vin []float32, ctx int32) {
 	if w.noise == nil {
 		return
 	}
-	e := w.e
-	grad := w.grad
-	vecmath.Zero(grad)
 	t := w.noiseTokens[w.noise.Sample(w.frng)]
 	if t == ctx {
 		return
 	}
-	out := e.rowOut(w, t)
-	dot := vecmath.Dot(vin, out)
-	if dot != dot {
-		return
-	}
-	g := (0 - vecmath.Sigmoid(dot)) * w.lr
-	vecmath.Axpy(g, out, grad)
-	vecmath.Axpy(g, vin, out)
-	vecmath.Add(grad, vin)
+	w.negs = append(w.negs[:0], w.e.rowOut(w, t))
+	vecmath.Add(sgns.Pair(vin, w.grad, nil, w.negs, w.lr), vin)
 }
 
 // remoteCall ships in(v_i) to the owner of v_j and waits for the gradient,

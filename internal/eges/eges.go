@@ -30,6 +30,7 @@ import (
 	"sisg/internal/emb"
 	"sisg/internal/knn"
 	"sisg/internal/rng"
+	"sisg/internal/sgns"
 	"sisg/internal/vecmath"
 )
 
@@ -164,13 +165,7 @@ func TrainOnWalks(d *corpus.Dict, walks [][]int32, opt Options) (*Model, error) 
 		}
 		totalTokens += uint64(len(w))
 	}
-	weights := make([]float64, numItems)
-	for i, c := range counts {
-		if c > 0 {
-			weights[i] = math.Pow(float64(c), opt.NoiseAlpha)
-		}
-	}
-	noise, err := alias.New(weights)
+	noise, err := alias.New(sgns.NoiseWeights(counts, opt.NoiseAlpha))
 	if err != nil {
 		return nil, fmt.Errorf("eges: noise distribution: %w", err)
 	}
@@ -198,6 +193,7 @@ func TrainOnWalks(d *corpus.Dict, walks [][]int32, opt Options) (*Model, error) 
 				m: m, opt: &opt, r: r, noise: noise,
 				h:    make([]float32, opt.Dim),
 				dh:   make([]float32, opt.Dim),
+				negs: make([][]float32, 0, opt.Negatives),
 				alph: make([]float32, 1+corpus.NumSIColumns),
 			}
 			for ep := 0; ep < opt.Epochs; ep++ {
@@ -206,11 +202,7 @@ func TrainOnWalks(d *corpus.Dict, walks [][]int32, opt Options) (*Model, error) 
 					doneTokens += uint64(len(walks[i]))
 					done := doneTokens
 					doneMu.Unlock()
-					f := 1 - float32(float64(done)/float64(total))
-					if f < opt.MinLRFrac {
-						f = opt.MinLRFrac
-					}
-					st.lr = opt.LR * f
+					st.lr = sgns.DecayLR(opt.LR, opt.MinLRFrac, done, total)
 					st.trainWalk(walks[i])
 				}
 			}
@@ -233,6 +225,7 @@ type trainerState struct {
 	noise *alias.Table
 	h     []float32 // aggregated input embedding H_i
 	dh    []float32 // gradient w.r.t. H_i
+	negs  [][]float32
 	alph  []float32 // softmax attention weights
 	lr    float32
 	pairs uint64
@@ -264,6 +257,8 @@ func (st *trainerState) aggregate(item int32) {
 func (st *trainerState) trainWalk(walk []int32) {
 	opt := st.opt
 	for i := range walk {
+		// Unlike sgns.Window, a window reaching past the left edge is
+		// clamped to it rather than dropping the left context.
 		win := 1 + st.r.Intn(opt.Window)
 		lo, hi := i-win, i+win
 		if lo < 0 {
@@ -286,22 +281,14 @@ func (st *trainerState) trainPair(item, ctx int32) {
 	m := st.m
 	opt := st.opt
 	st.aggregate(item)
-	vecmath.Zero(st.dh)
-
-	step := func(c int32, label float32) {
-		out := m.Out.Row(c)
-		g := (label - vecmath.Sigmoid(vecmath.Dot(st.h, out))) * st.lr
-		vecmath.Axpy(g, out, st.dh)
-		vecmath.Axpy(g, st.h, out)
-	}
-	step(ctx, 1)
+	negs := st.negs[:0]
 	for n := 0; n < opt.Negatives; n++ {
-		t := int32(st.noise.Sample(st.r))
-		if t == ctx {
-			continue
+		if t := int32(st.noise.Sample(st.r)); t != ctx {
+			negs = append(negs, m.Out.Row(t))
 		}
-		step(t, 0)
 	}
+	st.negs = negs
+	sgns.Pair(st.h, st.dh, m.Out.Row(ctx), negs, st.lr)
 
 	// Backprop dh into the item vector, SI vectors and attention logits:
 	// H = Σ α_j W_j ⇒ ∂L/∂W_j = α_j·dh, ∂L/∂a_j = α_j(dh·W_j − dh·H).

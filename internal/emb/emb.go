@@ -120,7 +120,9 @@ func (m *Model) Save(w io.Writer) error {
 	return bw.Flush()
 }
 
-// Load reads a model written by Save.
+// Load reads a model written by Save. The header is untrusted: the
+// matrices grow only as their bytes arrive, so a header claiming more rows
+// than the input holds fails at end of input instead of allocating them.
 func Load(r io.Reader) (*Model, error) {
 	br := bufio.NewReaderSize(r, 1<<20)
 	var got [8]byte
@@ -136,17 +138,19 @@ func Load(r io.Reader) (*Model, error) {
 	}
 	v := int(binary.LittleEndian.Uint32(hdr[0:]))
 	dim := int(binary.LittleEndian.Uint32(hdr[4:]))
-	if v < 0 || dim <= 0 || dim > 1<<16 {
+	n := uint64(v) * uint64(dim)
+	if v < 0 || dim <= 0 || dim > 1<<16 || n > math.MaxInt/4 {
 		return nil, ErrBadFormat
 	}
-	m := &Model{In: NewMatrix(v, dim), Out: NewMatrix(v, dim)}
-	if err := readFloats(br, m.In.data); err != nil {
+	in, err := readFloats(br, int(n))
+	if err != nil {
 		return nil, err
 	}
-	if err := readFloats(br, m.Out.data); err != nil {
+	out, err := readFloats(br, int(n))
+	if err != nil {
 		return nil, err
 	}
-	return m, nil
+	return &Model{In: &Matrix{Dim: dim, data: in}, Out: &Matrix{Dim: dim, data: out}}, nil
 }
 
 func writeFloats(w io.Writer, fs []float32) error {
@@ -167,22 +171,29 @@ func writeFloats(w io.Writer, fs []float32) error {
 	return nil
 }
 
-func readFloats(r io.Reader, fs []float32) error {
+// readFloats reads n little-endian float32s, growing the result at most
+// geometrically from what has been read so far: the allocation stays
+// within twice the bytes actually received.
+func readFloats(r io.Reader, n int) ([]float32, error) {
 	buf := make([]byte, 4096)
-	for len(fs) > 0 {
-		n := len(buf) / 4
-		if n > len(fs) {
-			n = len(fs)
+	fs := make([]float32, 0, min(n, len(buf)/4))
+	for len(fs) < n {
+		k := min(len(buf)/4, n-len(fs))
+		if _, err := io.ReadFull(r, buf[:k*4]); err != nil {
+			return nil, fmt.Errorf("emb: reading floats: %w", err)
 		}
-		if _, err := io.ReadFull(r, buf[:n*4]); err != nil {
-			return fmt.Errorf("emb: reading floats: %w", err)
+		if cap(fs)-len(fs) < k {
+			grown := make([]float32, len(fs), min(n, 2*cap(fs)+k))
+			copy(grown, fs)
+			fs = grown
 		}
-		for i := 0; i < n; i++ {
-			fs[i] = math.Float32frombits(binary.LittleEndian.Uint32(buf[i*4:]))
+		off := len(fs)
+		fs = fs[:off+k]
+		for i := 0; i < k; i++ {
+			fs[off+i] = math.Float32frombits(binary.LittleEndian.Uint32(buf[i*4:]))
 		}
-		fs = fs[n:]
 	}
-	return nil
+	return fs, nil
 }
 
 // NormalizedCopy returns a row-normalized copy of the given matrix, used by

@@ -2,7 +2,9 @@ package emb
 
 import (
 	"bytes"
+	"encoding/binary"
 	"math"
+	"runtime"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -141,6 +143,58 @@ func TestLoadErrors(t *testing.T) {
 	if _, err := Load(bytes.NewReader(data[:20])); err == nil {
 		t.Fatal("truncated file accepted")
 	}
+}
+
+// modelHeader is a file prefix claiming v rows of dimension dim.
+func modelHeader(v, dim uint32) []byte {
+	h := append([]byte(nil), magic[:]...)
+	h = binary.LittleEndian.AppendUint32(h, v)
+	return binary.LittleEndian.AppendUint32(h, dim)
+}
+
+// A forged header must fail closed: no panic for a size that cannot be
+// allocated, and no allocation beyond the bytes that actually arrive.
+func TestLoadForgedHeader(t *testing.T) {
+	if _, err := Load(bytes.NewReader(modelHeader(0xFFFFFFFF, 1<<16))); err == nil {
+		t.Fatal("header with no body accepted")
+	}
+	// 1Mi rows × 1024 dims claims 4 GiB per matrix; send 64 KiB of it.
+	data := append(modelHeader(1<<20, 1024), make([]byte, 64<<10)...)
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	if _, err := Load(bytes.NewReader(data)); err == nil {
+		t.Fatal("truncated body accepted")
+	}
+	runtime.ReadMemStats(&after)
+	if got := after.TotalAlloc - before.TotalAlloc; got > 8<<20 {
+		t.Fatalf("Load allocated %d bytes for a %d-byte input", got, len(data))
+	}
+}
+
+// FuzzLoad feeds arbitrary bytes to Load: it must return an error or a
+// model whose Save reproduces the bytes it consumed, and never panic.
+func FuzzLoad(f *testing.F) {
+	var buf bytes.Buffer
+	if err := NewModel(3, 2, rng.New(1)).Save(&buf); err != nil {
+		f.Fatal(err)
+	}
+	f.Add(buf.Bytes())
+	f.Add(buf.Bytes()[:20])
+	f.Add(modelHeader(0xFFFFFFFF, 1<<16))
+	f.Add(modelHeader(0, 4))
+	f.Fuzz(func(t *testing.T, data []byte) {
+		m, err := Load(bytes.NewReader(data))
+		if err != nil {
+			return
+		}
+		var out bytes.Buffer
+		if err := m.Save(&out); err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.HasPrefix(data, out.Bytes()) {
+			t.Fatalf("Save(Load(data)) is not a prefix of data: %d vs %d bytes", out.Len(), len(data))
+		}
+	})
 }
 
 func TestNormalizedCopy(t *testing.T) {

@@ -7,8 +7,8 @@ import (
 
 // LRU is a bounded, concurrency-safe cache of retrieval results, keyed by
 // an opaque uint64 (callers pack whatever identifies a repeated query —
-// the serving layer uses seed-item and k). It exists for the /similar hot
-// path: production matching traffic is heavily head-skewed, so a few
+// the serving layer uses seed-item and k). It exists for the /v1/similar
+// hot path: production matching traffic is heavily head-skewed, so a few
 // thousand entries absorb a large fraction of full-matrix scans.
 //
 // Values are returned by reference: a cached []Result is shared between

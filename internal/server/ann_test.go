@@ -8,6 +8,7 @@ import (
 	"testing"
 
 	"sisg/internal/corpus"
+	"sisg/internal/model"
 	"sisg/internal/sgns"
 	"sisg/internal/sisg"
 )
@@ -90,7 +91,7 @@ func TestANNServesAndCacheStaysExact(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	s := NewConfigured(ds, m, Config{MaxK: 100, CacheSize: 64})
+	s := NewWithHolder(ds, model.NewHolder(sisg.NewModelSnapshot(m, 1)), Config{MaxK: 100, CacheSize: 64})
 	ts := httptest.NewServer(s.Handler())
 	t.Cleanup(ts.Close)
 

@@ -54,7 +54,7 @@ func TestMetricsEndpointParses(t *testing.T) {
 	_, ts := testServer(t)
 
 	// Generate some traffic first so histograms have observations.
-	for _, p := range []string{"/similar?item=1", "/coldstart/user?gender=F", "/healthz", "/nowhere"} {
+	for _, p := range []string{"/v1/similar?item=1", "/v1/coldstart/user?gender=F", "/healthz", "/nowhere"} {
 		resp, err := http.Get(ts.URL + p)
 		if err != nil {
 			t.Fatal(err)
@@ -102,16 +102,16 @@ func TestMetricsEndpointParses(t *testing.T) {
 
 	// The wired-in families must all be present.
 	for _, want := range []string{
-		`http_requests_total{code="2xx",path="/similar"}`,
+		`http_requests_total{code="2xx",path="/v1/similar"}`,
 		`http_requests_total{code="4xx",path="other"}`, // the /nowhere request
-		`http_request_duration_seconds_bucket{path="/similar",le="+Inf"}`,
-		`http_request_duration_seconds_sum{path="/similar"}`,
-		`http_request_duration_seconds_count{path="/similar"}`,
+		`http_request_duration_seconds_bucket{path="/v1/similar",le="+Inf"}`,
+		`http_request_duration_seconds_sum{path="/v1/similar"}`,
+		`http_request_duration_seconds_count{path="/v1/similar"}`,
 		"http_inflight",
 		"http_panics_total",
 		"http_shed_total",
 		"http_client_errors_total",
-		`serve_candidates_total{path="/similar"}`,
+		`serve_candidates_total{path="/v1/similar"}`,
 	} {
 		if !strings.Contains(body, want) {
 			t.Errorf("exposition page missing %q", want)

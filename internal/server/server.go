@@ -12,9 +12,8 @@
 // catalog does not know yet.
 //
 // The retrieval API is versioned: /v1/similar, /v1/coldstart/item,
-// /v1/coldstart/user and /v1/stats are the canonical paths, with the
-// unversioned spellings kept as legacy aliases. Every error — bad input,
-// shed load, timeout, recovered panic — is answered with one JSON shape:
+// /v1/coldstart/user and /v1/stats. Every error — bad input, shed load,
+// timeout, recovered panic — is answered with one JSON shape:
 // {"error":{"code":"...","message":"..."}}.
 //
 // The package is the testable core behind cmd/sisg-server.
@@ -36,7 +35,6 @@ import (
 	"sisg/internal/knn"
 	"sisg/internal/metrics"
 	"sisg/internal/model"
-	"sisg/internal/sisg"
 )
 
 // Candidate is one entry of a served candidate set, carrying enough catalog
@@ -49,7 +47,7 @@ type Candidate struct {
 	Tier  int8    `json:"tier"`
 }
 
-// Stats are cumulative serving counters, exposed at /stats (JSON) and, in
+// Stats are cumulative serving counters, exposed at /v1/stats (JSON) and, in
 // richer form, at /metrics (Prometheus text format).
 type Stats struct {
 	Similar      uint64 `json:"similar"`
@@ -131,7 +129,7 @@ type Config struct {
 	// LatencyBuckets overrides the request-latency histogram bounds
 	// (seconds, ascending). Nil means metrics.DefBuckets.
 	LatencyBuckets []float64
-	// CacheSize bounds the /similar result cache in entries. Production
+	// CacheSize bounds the /v1/similar result cache in entries. Production
 	// matching traffic is heavily head-skewed, so a modest cache absorbs a
 	// large fraction of full-matrix scans. <=0 disables caching.
 	CacheSize int
@@ -223,7 +221,7 @@ type Server struct {
 
 	endpoints map[string]*endpointMetrics
 
-	// cache, when CacheSize > 0, memoizes /similar result sets keyed by
+	// cache, when CacheSize > 0, memoizes /v1/similar result sets keyed by
 	// (item, k) — scoped to ONE model generation. A publish invalidates
 	// the whole cache by construction: the first request pinned to the
 	// new generation CAS-installs a fresh LRU, and requests still pinned
@@ -268,32 +266,17 @@ func (s *Server) cacheFor(gen uint64) *knn.LRU {
 
 // knownPaths are the routes instrumented with their own label value;
 // anything else shares the "other" series so label cardinality stays
-// bounded no matter what clients probe. The /v1 aliases get their own
-// series — the split tells you how far client migration has progressed.
+// bounded no matter what clients probe.
 var knownPaths = []string{
-	"/similar", "/coldstart/item", "/coldstart/user",
 	"/v1/similar", "/v1/coldstart/item", "/v1/coldstart/user", "/v1/stats",
-	"/healthz", "/readyz", "/stats", "/metrics",
-}
-
-// New returns a server for the given dataset and model with default
-// hardening. maxK bounds the candidate-set size a single request may ask
-// for (<=0 means 1000).
-func New(ds *corpus.Dataset, m *sisg.Model, maxK int) *Server {
-	return NewConfigured(ds, m, Config{MaxK: maxK})
-}
-
-// NewConfigured returns a server with explicit hardening limits. The
-// batch model is wrapped as the holder's sole generation; NewWithHolder
-// is the streaming entry point where generations actually rotate.
-func NewConfigured(ds *corpus.Dataset, m *sisg.Model, cfg Config) *Server {
-	return NewWithHolder(ds, model.NewHolder(sisg.NewModelSnapshot(m, 1)), cfg)
+	"/healthz", "/readyz", "/metrics",
 }
 
 // NewWithHolder returns a server reading whatever snapshot the holder
 // currently publishes. The caller keeps the holder and feeds it new
 // generations (model.Holder.Publish); swaps are invisible to in-flight
-// requests.
+// requests. A batch model serves as a holder's sole generation:
+// model.NewHolder(sisg.NewModelSnapshot(m, 1)).
 func NewWithHolder(ds *corpus.Dataset, models *model.Holder, cfg Config) *Server {
 	cfg = cfg.withDefaults()
 	reg := cfg.Metrics
@@ -301,9 +284,9 @@ func NewWithHolder(ds *corpus.Dataset, models *model.Holder, cfg Config) *Server
 		ds: ds, models: models, maxK: cfg.MaxK, cfg: cfg,
 		reg: reg,
 
-		similar:      reg.Counter("serve_candidates_total", "candidate sets served, by retrieval path", metrics.L("path", "/similar")),
-		coldItem:     reg.Counter("serve_candidates_total", "candidate sets served, by retrieval path", metrics.L("path", "/coldstart/item")),
-		coldUser:     reg.Counter("serve_candidates_total", "candidate sets served, by retrieval path", metrics.L("path", "/coldstart/user")),
+		similar:      reg.Counter("serve_candidates_total", "candidate sets served, by retrieval path", metrics.L("path", "/v1/similar")),
+		coldItem:     reg.Counter("serve_candidates_total", "candidate sets served, by retrieval path", metrics.L("path", "/v1/coldstart/item")),
+		coldUser:     reg.Counter("serve_candidates_total", "candidate sets served, by retrieval path", metrics.L("path", "/v1/coldstart/user")),
 		clientErrors: reg.Counter("http_client_errors_total", "requests rejected 400 for malformed input"),
 		panics:       reg.Counter("http_panics_total", "requests answered 500 after a recovered handler panic"),
 		shed:         reg.Counter("http_shed_total", "requests answered 503 by the admission controller"),
@@ -386,9 +369,9 @@ func NewWithHolder(ds *corpus.Dataset, models *model.Holder, cfg Config) *Server
 	s.scanSeconds = reg.Histogram("retrieval_seconds", "similar-item retrieval latency, by source", cfg.LatencyBuckets, metrics.L("source", "scan"))
 	s.cacheSeconds = reg.Histogram("retrieval_seconds", "similar-item retrieval latency, by source", cfg.LatencyBuckets, metrics.L("source", "cache"))
 	if cfg.CacheSize > 0 {
-		s.cacheHits = reg.Counter("retrieval_cache_hits_total", "/similar requests answered from the result cache")
-		s.cacheMisses = reg.Counter("retrieval_cache_misses_total", "/similar requests that fell through to a full scan")
-		reg.GaugeFunc("retrieval_cache_entries", "entries currently held by the /similar result cache", func() float64 {
+		s.cacheHits = reg.Counter("retrieval_cache_hits_total", "/v1/similar requests answered from the result cache")
+		s.cacheMisses = reg.Counter("retrieval_cache_misses_total", "/v1/similar requests that fell through to a full scan")
+		reg.GaugeFunc("retrieval_cache_entries", "entries currently held by the /v1/similar result cache", func() float64 {
 			if c := s.cache.Load(); c != nil {
 				return float64(c.lru.Len())
 			}
@@ -431,20 +414,15 @@ func (s *Server) Registry() *metrics.Registry { return s.reg }
 
 // Handler returns the routed HTTP handler wrapped in the hardening chain.
 //
-// The retrieval API is versioned under /v1/; the unversioned paths are
-// legacy aliases kept for existing integrations and serve byte-identical
-// responses. Operational endpoints (/healthz, /readyz, /metrics) stay
-// unversioned — they speak to infrastructure, not API clients.
+// The retrieval API is versioned under /v1/. Operational endpoints
+// (/healthz, /readyz, /metrics) stay unversioned — they speak to
+// infrastructure, not API clients.
 func (s *Server) Handler() http.Handler {
 	mux := http.NewServeMux()
 	mux.HandleFunc("/v1/similar", s.handleSimilar)
 	mux.HandleFunc("/v1/coldstart/item", s.handleColdItem)
 	mux.HandleFunc("/v1/coldstart/user", s.handleColdUser)
 	mux.HandleFunc("/v1/stats", s.handleStats)
-	mux.HandleFunc("/similar", s.handleSimilar)
-	mux.HandleFunc("/coldstart/item", s.handleColdItem)
-	mux.HandleFunc("/coldstart/user", s.handleColdUser)
-	mux.HandleFunc("/stats", s.handleStats)
 	mux.HandleFunc("/healthz", s.handleHealth)
 	mux.HandleFunc("/readyz", s.handleReady)
 	mux.Handle("/metrics", s.reg.Handler())
@@ -868,7 +846,7 @@ func (s *Server) annOptions(w http.ResponseWriter, r *http.Request, k int) (knn.
 	return opts, true
 }
 
-// coldItemRequest is the POST body of /coldstart/item: a brand-new item
+// coldItemRequest is the POST body of /v1/coldstart/item: a brand-new item
 // known only by its SI token names (Eq. 6 needs nothing else).
 type coldItemRequest struct {
 	SI []string `json:"si"`
@@ -940,7 +918,7 @@ func (s *Server) admittedVectorRetrieve(ctx context.Context, snap model.Snapshot
 	return snap.SimilarToVector(ctx, qv, k, skip)
 }
 
-// coldUserRequest is the POST body of /coldstart/user. Age and Power are
+// coldUserRequest is the POST body of /v1/coldstart/user. Age and Power are
 // pointers so "absent" (match any) is distinguishable from index 0.
 type coldUserRequest struct {
 	Gender string `json:"gender"`

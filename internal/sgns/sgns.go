@@ -19,7 +19,6 @@ package sgns
 import (
 	"errors"
 	"fmt"
-	"math"
 	"runtime"
 	"sync"
 	"sync/atomic"
@@ -218,13 +217,13 @@ func trainInto(model *emb.Model, dict *vocab.Dict, seqs [][]int32, opt Options) 
 		corpusTokens += uint64(len(s))
 	}
 
-	noise, err := alias.New(noiseWeights(counts, opt.NoiseAlpha))
+	noise, err := alias.New(NoiseWeights(counts, opt.NoiseAlpha))
 	if err != nil {
 		return Stats{}, fmt.Errorf("sgns: noise distribution: %w", err)
 	}
 	var keep []float32
 	if opt.SubsampleT > 0 {
-		keep = subsampleKeepProbs(dict, counts, corpusTokens, opt.SubsampleT, opt.SIBoost)
+		keep = KeepProbs(dict, counts, corpusTokens, opt.SubsampleT, opt.SIBoost)
 	}
 
 	// Linear LR decay over the estimated total number of consumed tokens.
@@ -247,7 +246,9 @@ func trainInto(model *emb.Model, dict *vocab.Dict, seqs [][]int32, opt Options) 
 	for w := range states {
 		states[w] = &workerState{
 			model: model, noise: noise, keep: keep, opt: &opt, r: master.Split(),
+			win:  NewWindow(opt.Window, opt.Stride, opt.Directed),
 			grad: make([]float32, opt.Dim),
+			negs: make([][]float32, 0, opt.Negatives),
 			kept: make([]int32, 0, 64),
 		}
 	}
@@ -304,7 +305,7 @@ func trainInto(model *emb.Model, dict *vocab.Dict, seqs [][]int32, opt Options) 
 		stop := StartProgress(opt.Progress, opt.ProgressEvery, opt.Epochs, totalTokens,
 			func() (int, uint64, uint64, float32) {
 				d := doneTokens.Load()
-				return int(curEpoch.Load()), pairs.Load(), d, decayLR(opt.LR, opt.MinLRFrac, d, totalTokens)
+				return int(curEpoch.Load()), pairs.Load(), d, DecayLR(opt.LR, opt.MinLRFrac, d, totalTokens)
 			})
 		defer stop() // emits the final Done snapshot, on error paths too
 	}
@@ -370,7 +371,7 @@ func trainInto(model *emb.Model, dict *vocab.Dict, seqs [][]int32, opt Options) 
 		Elapsed:     time.Since(start),
 		WorkersUsed: workers,
 	}
-	st.FinalLR = decayLR(opt.LR, opt.MinLRFrac, st.Tokens, totalTokens)
+	st.FinalLR = DecayLR(opt.LR, opt.MinLRFrac, st.Tokens, totalTokens)
 	return st, nil
 }
 
@@ -405,49 +406,6 @@ func saveCheckpoint(dir string, fp uint64, epoch, block int, states []*workerSta
 	})
 }
 
-// noiseWeights returns count^alpha per token (P_noise(v) ∝ freq(v)^α,
-// §III-C); zero-count tokens get zero weight and are never drawn.
-func noiseWeights(counts []uint64, alpha float64) []float64 {
-	w := make([]float64, len(counts))
-	for i, c := range counts {
-		if c > 0 {
-			w[i] = math.Pow(float64(c), alpha)
-		}
-	}
-	return w
-}
-
-// subsampleKeepProbs computes Mikolov keep probabilities over the training
-// corpus counts, multiplying non-item tokens by siBoost (the paper's
-// "aggressive" SI downsampling).
-func subsampleKeepProbs(dict *vocab.Dict, counts []uint64, total uint64, t, siBoost float64) []float32 {
-	p := make([]float32, len(counts))
-	for i := range counts {
-		if counts[i] == 0 || total == 0 {
-			p[i] = 1
-			continue
-		}
-		f := float64(counts[i]) / float64(total)
-		keep := math.Sqrt(t/f) + t/f
-		if keep > 1 {
-			keep = 1
-		}
-		if dict.KindOf(int32(i)) != vocab.KindItem {
-			keep *= siBoost
-		}
-		p[i] = float32(keep)
-	}
-	return p
-}
-
-func decayLR(lr0, minFrac float32, done, total uint64) float32 {
-	f := 1 - float32(float64(done)/float64(total))
-	if f < minFrac {
-		f = minFrac
-	}
-	return lr0 * f
-}
-
 // workerState is one Hogwild shard's scratch space.
 type workerState struct {
 	model   *emb.Model
@@ -455,7 +413,9 @@ type workerState struct {
 	keep    []float32
 	opt     *Options
 	r       *rng.RNG
+	win     Window
 	grad    []float32
+	negs    [][]float32
 	kept    []int32
 	pairs   uint64
 	updates uint64
@@ -475,30 +435,12 @@ func (ws *workerState) trainSequence(seq []int32, doneTokens *atomic.Uint64, tot
 	}
 	ws.kept = kept
 	done := doneTokens.Add(uint64(len(seq)))
-	ws.lr = decayLR(opt.LR, opt.MinLRFrac, done, totalTokens)
+	ws.lr = DecayLR(opt.LR, opt.MinLRFrac, done, totalTokens)
 	if len(kept) < 2 {
 		return
 	}
-	stride := opt.Stride
-	if stride < 1 {
-		stride = 1
-	}
-	steps := opt.Window / stride
-	if steps < 1 {
-		steps = 1
-	}
 	for i := range kept {
-		// word2vec-style reduced window, in stride units:
-		// uniform over {stride, 2*stride, ..., steps*stride}.
-		win := stride * (1 + ws.r.Intn(steps))
-		lo := i - win
-		if opt.Directed || lo < 0 {
-			lo = i // directed: no left context
-		}
-		hi := i + win
-		if hi >= len(kept) {
-			hi = len(kept) - 1
-		}
+		lo, hi := ws.win.Bounds(ws.r, i, len(kept))
 		for j := lo; j <= hi; j++ {
 			if j == i {
 				continue
@@ -509,34 +451,20 @@ func (ws *workerState) trainSequence(seq []int32, doneTokens *atomic.Uint64, tot
 }
 
 // trainPair applies one SGNS update: the positive (target, context) pair
-// plus Negatives samples from the noise distribution. Gradients w.r.t. the
+// plus Negatives samples from the noise distribution, where a draw equal
+// to the true context is rejected, as in word2vec. Gradients w.r.t. the
 // input vector are accumulated and applied once, per the original word2vec.
 func (ws *workerState) trainPair(target, ctx int32) {
 	m := ws.model
-	opt := ws.opt
-	v := m.In.Row(target)
-	grad := ws.grad
-	vecmath.Zero(grad)
-
-	// Positive sample: label 1.
-	c := m.Out.Row(ctx)
-	g := (1 - vecmath.Sigmoid(vecmath.Dot(v, c))) * ws.lr
-	vecmath.Axpy(g, c, grad)
-	vecmath.Axpy(g, v, c)
-
-	// Negative samples: label 0. A draw equal to the true context is
-	// rejected, as in word2vec.
-	for n := 0; n < opt.Negatives; n++ {
-		t := int32(ws.noise.Sample(ws.r))
-		if t == ctx {
-			continue
+	negs := ws.negs[:0]
+	for n := 0; n < ws.opt.Negatives; n++ {
+		if t := int32(ws.noise.Sample(ws.r)); t != ctx {
+			negs = append(negs, m.Out.Row(t))
 		}
-		c := m.Out.Row(t)
-		g := (0 - vecmath.Sigmoid(vecmath.Dot(v, c))) * ws.lr
-		vecmath.Axpy(g, c, grad)
-		vecmath.Axpy(g, v, c)
 	}
-	vecmath.Add(grad, v)
+	ws.negs = negs
+	v := m.In.Row(target)
+	vecmath.Add(Pair(v, ws.grad, m.Out.Row(ctx), negs, ws.lr), v)
 	ws.pairs++
-	ws.updates += uint64(1 + opt.Negatives)
+	ws.updates += uint64(1 + ws.opt.Negatives)
 }

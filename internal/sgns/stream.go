@@ -15,7 +15,6 @@ package sgns
 import (
 	"errors"
 	"fmt"
-	"math"
 
 	"sisg/internal/alias"
 	"sisg/internal/emb"
@@ -94,11 +93,12 @@ type Live struct {
 	total  uint64       // total tokens consumed
 
 	r    *rng.RNG
+	win  Window
 	grad []float32
+	negs [][]float32
 	kept []int32
 
-	noise        *alias.Table // over rows [0, noiseRows)
-	noiseRows    int
+	noise        *alias.Table // over the rows live at the last rebuild
 	sinceRebuild uint64
 
 	pairs, updates uint64
@@ -123,7 +123,9 @@ func NewLive(opt LiveOptions) (*Live, error) {
 		kinds:  make([]vocab.Kind, 0, opt.Capacity),
 		counts: make([]uint64, 0, opt.Capacity),
 		r:      rng.New(opt.Seed),
+		win:    NewWindow(opt.Window, opt.Stride, opt.Directed),
 		grad:   make([]float32, opt.Dim),
+		negs:   make([][]float32, 0, opt.Negatives),
 		kept:   make([]int32, 0, 64),
 	}, nil
 }
@@ -173,7 +175,7 @@ func (l *Live) TrainSequence(seq []int32) {
 
 	kept := l.kept[:0]
 	for _, row := range seq {
-		if opt.SubsampleT > 0 && l.r.Float32() >= l.keepProb(row) {
+		if opt.SubsampleT > 0 && l.r.Float32() >= KeepProb(l.counts[row], l.total, opt.SubsampleT, opt.SIBoost, l.kinds[row]) {
 			continue
 		}
 		kept = append(kept, row)
@@ -182,24 +184,8 @@ func (l *Live) TrainSequence(seq []int32) {
 	if len(kept) < 2 {
 		return
 	}
-	stride := opt.Stride
-	if stride < 1 {
-		stride = 1
-	}
-	steps := opt.Window / stride
-	if steps < 1 {
-		steps = 1
-	}
 	for i := range kept {
-		win := stride * (1 + l.r.Intn(steps))
-		lo := i - win
-		if opt.Directed || lo < 0 {
-			lo = i
-		}
-		hi := i + win
-		if hi >= len(kept) {
-			hi = len(kept) - 1
-		}
+		lo, hi := l.win.Bounds(l.r, i, len(kept))
 		for j := lo; j <= hi; j++ {
 			if j == i {
 				continue
@@ -209,37 +195,12 @@ func (l *Live) TrainSequence(seq []int32) {
 	}
 }
 
-// keepProb is the Mikolov keep probability from the live counts, with the
-// SI boost for non-item rows — the streaming analogue of
-// subsampleKeepProbs, computed per occurrence instead of per epoch.
-func (l *Live) keepProb(row int32) float32 {
-	c := l.counts[row]
-	if c == 0 || l.total == 0 {
-		return 1
-	}
-	f := float64(c) / float64(l.total)
-	keep := math.Sqrt(l.opt.SubsampleT/f) + l.opt.SubsampleT/f
-	if keep > 1 {
-		keep = 1
-	}
-	if l.kinds[row] != vocab.KindItem {
-		keep *= l.opt.SIBoost
-	}
-	return float32(keep)
-}
-
 func (l *Live) rebuildNoise() {
 	l.sinceRebuild = 0
 	if l.rows == 0 {
 		return
 	}
-	w := make([]float64, l.rows)
-	for i := 0; i < l.rows; i++ {
-		if c := l.counts[i]; c > 0 {
-			w[i] = math.Pow(float64(c), l.opt.NoiseAlpha)
-		}
-	}
-	t, err := alias.New(w)
+	t, err := alias.New(NoiseWeights(l.counts, l.opt.NoiseAlpha))
 	if err != nil {
 		// All-zero counts (rows admitted, nothing consumed yet): keep the
 		// previous table, or none — trainPair tolerates a nil table by
@@ -247,36 +208,23 @@ func (l *Live) rebuildNoise() {
 		return
 	}
 	l.noise = t
-	l.noiseRows = l.rows
 }
 
 func (l *Live) trainPair(target, ctx int32) {
-	opt := &l.opt
 	m := l.model
-	v := m.In.Row(target)
-	grad := l.grad
-	vecmath.Zero(grad)
-
-	c := m.Out.Row(ctx)
-	g := (1 - vecmath.Sigmoid(vecmath.Dot(v, c))) * opt.LR
-	vecmath.Axpy(g, c, grad)
-	vecmath.Axpy(g, v, c)
-
+	negs := l.negs[:0]
 	if l.noise != nil {
-		for n := 0; n < opt.Negatives; n++ {
-			t := int32(l.noise.Sample(l.r))
-			if t == ctx {
-				continue
+		for n := 0; n < l.opt.Negatives; n++ {
+			if t := int32(l.noise.Sample(l.r)); t != ctx {
+				negs = append(negs, m.Out.Row(t))
 			}
-			c := m.Out.Row(t)
-			g := (0 - vecmath.Sigmoid(vecmath.Dot(v, c))) * opt.LR
-			vecmath.Axpy(g, c, grad)
-			vecmath.Axpy(g, v, c)
 		}
 	}
-	vecmath.Add(grad, v)
+	l.negs = negs
+	v := m.In.Row(target)
+	vecmath.Add(Pair(v, l.grad, m.Out.Row(ctx), negs, l.opt.LR), v)
 	l.pairs++
-	l.updates += uint64(1 + opt.Negatives)
+	l.updates += uint64(1 + l.opt.Negatives)
 }
 
 // Rows returns how many rows are live.
