@@ -38,7 +38,6 @@ import (
 	"hash/crc32"
 	"hash/fnv"
 	"io"
-	"math"
 	"os"
 	"path/filepath"
 	"syscall"
@@ -47,6 +46,9 @@ import (
 )
 
 var magic = [8]byte{'S', 'I', 'S', 'G', 'C', 'K', 'P', '1'}
+
+// growStart caps the capacity Load reserves from a count in the file.
+const growStart = 1024
 
 // FileName is the snapshot file name inside a checkpoint directory.
 const FileName = "checkpoint.ckpt"
@@ -225,10 +227,10 @@ func writeSnapshot(w io.Writer, s *Snapshot) error {
 	if err := writeU32(cw, uint32(s.Model.Dim())); err != nil {
 		return err
 	}
-	if err := writeFloats(cw, s.Model.In.Data()); err != nil {
+	if err := emb.WriteFloats(cw, s.Model.In.Data()); err != nil {
 		return err
 	}
-	if err := writeFloats(cw, s.Model.Out.Data()); err != nil {
+	if err := emb.WriteFloats(cw, s.Model.Out.Data()); err != nil {
 		return err
 	}
 	hotDim := 0
@@ -246,7 +248,7 @@ func writeSnapshot(w io.Writer, s *Snapshot) error {
 			if len(row) != hotDim {
 				return fmt.Errorf("checkpoint: ragged hot store row: %d != %d", len(row), hotDim)
 			}
-			if err := writeFloats(cw, row); err != nil {
+			if err := emb.WriteFloats(cw, row); err != nil {
 				return err
 			}
 		}
@@ -301,6 +303,9 @@ func readSnapshot(r io.Reader) (*Snapshot, error) {
 	}
 	s.Epoch, s.Block = int(epoch), int(block)
 
+	// Every count below comes from the file and is untrusted: lists start
+	// at most growStart long and grow as their bytes arrive, so a forged
+	// count fails at end of input instead of allocating what it claims.
 	nCounters, err := readU32(tr)
 	if err != nil {
 		return nil, corrupt("counter count: %v", err)
@@ -308,11 +313,13 @@ func readSnapshot(r io.Reader) (*Snapshot, error) {
 	if nCounters > 1<<20 {
 		return nil, corrupt("absurd counter count %d", nCounters)
 	}
-	s.Counters = make([]uint64, nCounters)
-	for i := range s.Counters {
-		if s.Counters[i], err = readU64(tr); err != nil {
+	s.Counters = make([]uint64, 0, min(nCounters, growStart))
+	for i := uint32(0); i < nCounters; i++ {
+		c, err := readU64(tr)
+		if err != nil {
 			return nil, corrupt("counter %d: %v", i, err)
 		}
+		s.Counters = append(s.Counters, c)
 	}
 	nRNGs, err := readU32(tr)
 	if err != nil {
@@ -321,13 +328,15 @@ func readSnapshot(r io.Reader) (*Snapshot, error) {
 	if nRNGs > 1<<20 {
 		return nil, corrupt("absurd rng count %d", nRNGs)
 	}
-	s.RNGs = make([][4]uint64, nRNGs)
-	for i := range s.RNGs {
-		for j := 0; j < 4; j++ {
-			if s.RNGs[i][j], err = readU64(tr); err != nil {
+	s.RNGs = make([][4]uint64, 0, min(nRNGs, growStart))
+	for i := uint32(0); i < nRNGs; i++ {
+		var st [4]uint64
+		for j := range st {
+			if st[j], err = readU64(tr); err != nil {
 				return nil, corrupt("rng %d: %v", i, err)
 			}
 		}
+		s.RNGs = append(s.RNGs, st)
 	}
 	vocab, err := readU32(tr)
 	if err != nil {
@@ -340,13 +349,15 @@ func readSnapshot(r io.Reader) (*Snapshot, error) {
 	if dim == 0 || dim > 1<<16 || vocab > 1<<28 {
 		return nil, corrupt("implausible shape %d×%d", vocab, dim)
 	}
-	s.Model = &emb.Model{In: emb.NewMatrix(int(vocab), int(dim)), Out: emb.NewMatrix(int(vocab), int(dim))}
-	if err := readFloats(tr, s.Model.In.Data()); err != nil {
+	in, err := emb.ReadMatrix(tr, int(vocab), int(dim))
+	if err != nil {
 		return nil, corrupt("in matrix: %v", err)
 	}
-	if err := readFloats(tr, s.Model.Out.Data()); err != nil {
+	out, err := emb.ReadMatrix(tr, int(vocab), int(dim))
+	if err != nil {
 		return nil, corrupt("out matrix: %v", err)
 	}
+	s.Model = &emb.Model{In: in, Out: out}
 	nHot, err := readU32(tr)
 	if err != nil {
 		return nil, corrupt("hot count: %v", err)
@@ -355,17 +366,19 @@ func readSnapshot(r io.Reader) (*Snapshot, error) {
 	if err != nil {
 		return nil, corrupt("hot dim: %v", err)
 	}
-	if nHot > 1<<24 || hotDim > 1<<16 {
+	// Save writes a zero hot dim only for an empty store; rows of zero
+	// floats would let a count allocate with no bytes behind it.
+	if nHot > 1<<24 || hotDim > 1<<16 || (nHot > 0 && hotDim == 0) {
 		return nil, corrupt("implausible hot store %d×%d", nHot, hotDim)
 	}
-	s.HotIn = make([][]float32, nHot)
-	s.HotOut = make([][]float32, nHot)
-	for _, rows := range [][][]float32{s.HotIn, s.HotOut} {
-		for i := range rows {
-			rows[i] = make([]float32, hotDim)
-			if err := readFloats(tr, rows[i]); err != nil {
+	for _, rows := range []*[][]float32{&s.HotIn, &s.HotOut} {
+		*rows = make([][]float32, 0, min(nHot, growStart))
+		for i := uint32(0); i < nHot; i++ {
+			row, err := emb.ReadFloats(tr, int(hotDim))
+			if err != nil {
 				return nil, corrupt("hot row %d: %v", i, err)
 			}
+			*rows = append(*rows, row)
 		}
 	}
 	// All payload bytes are in the accumulator; the trailer itself is
@@ -413,40 +426,4 @@ func readU64(r io.Reader) (uint64, error) {
 		return 0, err
 	}
 	return binary.LittleEndian.Uint64(b[:]), nil
-}
-
-func writeFloats(w io.Writer, fs []float32) error {
-	buf := make([]byte, 4096)
-	for len(fs) > 0 {
-		n := len(buf) / 4
-		if n > len(fs) {
-			n = len(fs)
-		}
-		for i := 0; i < n; i++ {
-			binary.LittleEndian.PutUint32(buf[i*4:], math.Float32bits(fs[i]))
-		}
-		if _, err := w.Write(buf[:n*4]); err != nil {
-			return err
-		}
-		fs = fs[n:]
-	}
-	return nil
-}
-
-func readFloats(r io.Reader, fs []float32) error {
-	buf := make([]byte, 4096)
-	for len(fs) > 0 {
-		n := len(buf) / 4
-		if n > len(fs) {
-			n = len(fs)
-		}
-		if _, err := io.ReadFull(r, buf[:n*4]); err != nil {
-			return err
-		}
-		for i := 0; i < n; i++ {
-			fs[i] = math.Float32frombits(binary.LittleEndian.Uint32(buf[i*4:]))
-		}
-		fs = fs[n:]
-	}
-	return nil
 }

@@ -1,9 +1,12 @@
 package checkpoint
 
 import (
+	"bytes"
+	"encoding/binary"
 	"errors"
 	"os"
 	"path/filepath"
+	"runtime"
 	"testing"
 
 	"sisg/internal/emb"
@@ -196,5 +199,47 @@ func TestSaveCreatesDir(t *testing.T) {
 	}
 	if _, err := Load(dir); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// snapshotHeader builds the start of a snapshot file: magic, options hash,
+// epoch and block, then the given little-endian words.
+func snapshotHeader(words ...uint32) []byte {
+	out := append([]byte(nil), magic[:]...)
+	out = binary.LittleEndian.AppendUint64(out, 1)
+	out = binary.LittleEndian.AppendUint64(out, 0) // epoch, block
+	for _, w := range words {
+		out = binary.LittleEndian.AppendUint32(out, w)
+	}
+	return out
+}
+
+// A forged count or shape must not allocate what it claims before the
+// bytes arrive or the CRC is checked: each case sends 64 KiB against a
+// header claiming far more, and must fail with bounded allocation.
+func TestLoadForgedHeader(t *testing.T) {
+	for name, hdr := range map[string][]byte{
+		// 2^20 counters, then 2^20 RNG states (8 + 32 MiB).
+		"counters": snapshotHeader(1 << 20),
+		"rngs":     snapshotHeader(0, 1<<20),
+		// A 2^28 × 2^16 model: 64 TiB per matrix.
+		"model": snapshotHeader(0, 0, 1<<28, 1<<16),
+		// An empty model and a 2^24 × 2^16 hot store.
+		"hot": snapshotHeader(0, 0, 0, 8, 1<<24, 1<<16),
+		// 2^24 hot rows of zero floats would need no bytes at all.
+		"hot-zero-dim": snapshotHeader(0, 0, 0, 8, 1<<24, 0),
+	} {
+		data := append(hdr, make([]byte, 64<<10)...)
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		_, err := readSnapshot(bytes.NewReader(data))
+		runtime.ReadMemStats(&after)
+		if !errors.Is(err, ErrCorrupt) {
+			t.Fatalf("%s: err = %v, want ErrCorrupt", name, err)
+		}
+		// The 1 MiB read buffer plus at most twice the received bytes.
+		if got := after.TotalAlloc - before.TotalAlloc; got > 3<<20 {
+			t.Fatalf("%s: Load allocated %d bytes for a %d-byte input", name, got, len(data))
+		}
 	}
 }

@@ -111,10 +111,10 @@ func (m *Model) Save(w io.Writer) error {
 	if _, err := bw.Write(hdr[:]); err != nil {
 		return err
 	}
-	if err := writeFloats(bw, m.In.data); err != nil {
+	if err := WriteFloats(bw, m.In.data); err != nil {
 		return err
 	}
-	if err := writeFloats(bw, m.Out.data); err != nil {
+	if err := WriteFloats(bw, m.Out.data); err != nil {
 		return err
 	}
 	return bw.Flush()
@@ -138,22 +138,37 @@ func Load(r io.Reader) (*Model, error) {
 	}
 	v := int(binary.LittleEndian.Uint32(hdr[0:]))
 	dim := int(binary.LittleEndian.Uint32(hdr[4:]))
-	n := uint64(v) * uint64(dim)
-	if v < 0 || dim <= 0 || dim > 1<<16 || n > math.MaxInt/4 {
+	if dim > 1<<16 {
 		return nil, ErrBadFormat
 	}
-	in, err := readFloats(br, int(n))
+	in, err := ReadMatrix(br, v, dim)
 	if err != nil {
 		return nil, err
 	}
-	out, err := readFloats(br, int(n))
+	out, err := ReadMatrix(br, v, dim)
 	if err != nil {
 		return nil, err
 	}
-	return &Model{In: &Matrix{Dim: dim, data: in}, Out: &Matrix{Dim: dim, data: out}}, nil
+	return &Model{In: in, Out: out}, nil
 }
 
-func writeFloats(w io.Writer, fs []float32) error {
+// ReadMatrix reads a rows×dim matrix stored as rows·dim little-endian
+// float32s, the layout of model and checkpoint files. The shape is
+// untrusted: a shape whose byte size overflows int is ErrBadFormat, and
+// the matrix grows only as its bytes arrive (see ReadFloats).
+func ReadMatrix(r io.Reader, rows, dim int) (*Matrix, error) {
+	if rows < 0 || dim <= 0 || rows > math.MaxInt/4/dim {
+		return nil, ErrBadFormat
+	}
+	data, err := ReadFloats(r, rows*dim)
+	if err != nil {
+		return nil, err
+	}
+	return &Matrix{Dim: dim, data: data}, nil
+}
+
+// WriteFloats writes fs as little-endian float32s.
+func WriteFloats(w io.Writer, fs []float32) error {
 	buf := make([]byte, 4096)
 	for len(fs) > 0 {
 		n := len(buf) / 4
@@ -171,10 +186,11 @@ func writeFloats(w io.Writer, fs []float32) error {
 	return nil
 }
 
-// readFloats reads n little-endian float32s, growing the result at most
+// ReadFloats reads n little-endian float32s, growing the result at most
 // geometrically from what has been read so far: the allocation stays
-// within twice the bytes actually received.
-func readFloats(r io.Reader, n int) ([]float32, error) {
+// within twice the bytes actually received, whatever n a forged header
+// claims.
+func ReadFloats(r io.Reader, n int) ([]float32, error) {
 	buf := make([]byte, 4096)
 	fs := make([]float32, 0, min(n, len(buf)/4))
 	for len(fs) < n {

@@ -3,6 +3,7 @@ package emb
 import (
 	"bytes"
 	"encoding/binary"
+	"errors"
 	"math"
 	"runtime"
 	"strings"
@@ -168,6 +169,16 @@ func TestLoadForgedHeader(t *testing.T) {
 	runtime.ReadMemStats(&after)
 	if got := after.TotalAlloc - before.TotalAlloc; got > 8<<20 {
 		t.Fatalf("Load allocated %d bytes for a %d-byte input", got, len(data))
+	}
+}
+
+// A shape whose byte size overflows int is rejected before anything is
+// read.
+func TestReadMatrixOverflow(t *testing.T) {
+	for _, shape := range [][2]int{{math.MaxInt / 2, 1 << 16}, {math.MaxInt/4 + 1, 1}, {-1, 4}, {4, 0}} {
+		if _, err := ReadMatrix(bytes.NewReader(nil), shape[0], shape[1]); !errors.Is(err, ErrBadFormat) {
+			t.Fatalf("ReadMatrix(%d×%d) err = %v, want ErrBadFormat", shape[0], shape[1], err)
+		}
 	}
 }
 

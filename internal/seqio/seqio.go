@@ -120,6 +120,10 @@ func parseItemToken(tok string) (int32, error) {
 
 var binMagic = [8]byte{'S', 'I', 'S', 'G', 'S', 'E', 'Q', '1'}
 
+// growStart caps the capacity ReadBinary reserves from a count in the
+// file; beyond it, lists grow by append as the bytes arrive.
+const growStart = 1024
+
 // ErrBadFormat reports a corrupt or foreign session file.
 var ErrBadFormat = errors.New("seqio: bad file format")
 
@@ -157,6 +161,9 @@ func WriteBinary(w io.Writer, sessions []corpus.Session) error {
 
 // ReadBinary reads sessions written by WriteBinary. maxItems, when
 // positive, bounds item IDs (corruption and mismatched-catalog detection).
+// The counts in the file are untrusted: the session list and each item
+// list grow only as their bytes arrive, so a header claiming more than
+// the input holds fails at end of input instead of allocating it.
 func ReadBinary(r io.Reader, maxItems int) ([]corpus.Session, error) {
 	br := bufio.NewReaderSize(r, 1<<20)
 	var magic [8]byte
@@ -180,7 +187,7 @@ func ReadBinary(r io.Reader, maxItems int) ([]corpus.Session, error) {
 	if count > 1<<28 {
 		return nil, ErrBadFormat
 	}
-	out := make([]corpus.Session, 0, count)
+	out := make([]corpus.Session, 0, min(count, growStart))
 	for i := uint32(0); i < count; i++ {
 		ut, err := get()
 		if err != nil {
@@ -193,8 +200,8 @@ func ReadBinary(r io.Reader, maxItems int) ([]corpus.Session, error) {
 		if n > 1<<20 {
 			return nil, ErrBadFormat
 		}
-		items := make([]int32, n)
-		for j := range items {
+		items := make([]int32, 0, min(n, growStart))
+		for j := uint32(0); j < n; j++ {
 			v, err := get()
 			if err != nil {
 				return nil, fmt.Errorf("seqio: session %d item %d: %w", i, j, err)
@@ -202,7 +209,7 @@ func ReadBinary(r io.Reader, maxItems int) ([]corpus.Session, error) {
 			if maxItems > 0 && int(v) >= maxItems {
 				return nil, fmt.Errorf("seqio: session %d: item id %d out of range (catalog has %d)", i, v, maxItems)
 			}
-			items[j] = int32(v)
+			items = append(items, int32(v))
 		}
 		out = append(out, corpus.Session{UserType: int32(ut), Items: items})
 	}

@@ -2,6 +2,8 @@ package seqio
 
 import (
 	"bytes"
+	"encoding/binary"
+	"runtime"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -168,4 +170,66 @@ func TestEmptySessions(t *testing.T) {
 	if len(got) != 0 {
 		t.Fatalf("got %d sessions", len(got))
 	}
+}
+
+// binaryFile builds a session file from raw little-endian words after the
+// magic: a count, then sessions as usertype, n, items.
+func binaryFile(words ...uint32) []byte {
+	out := append([]byte(nil), binMagic[:]...)
+	for _, w := range words {
+		out = binary.LittleEndian.AppendUint32(out, w)
+	}
+	return out
+}
+
+// A forged count must not allocate what it claims: the allocation stays
+// bounded by the bytes that actually arrive.
+func TestReadBinaryForgedHeader(t *testing.T) {
+	for name, data := range map[string][]byte{
+		// 2^28 sessions claimed (8 GiB of session headers), 8 Ki empty
+		// ones sent.
+		"count": append(binaryFile(1<<28), make([]byte, 64<<10)...),
+		// One session claiming 2^20 items (4 MiB), four sent.
+		"items": binaryFile(1, 0, 1<<20, 1, 2, 3, 4),
+	} {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		if _, err := ReadBinary(bytes.NewReader(data), 0); err == nil {
+			t.Fatalf("%s: truncated file accepted", name)
+		}
+		runtime.ReadMemStats(&after)
+		// The 1 MiB read buffer plus at most twice the received bytes' worth
+		// of sessions.
+		if got := after.TotalAlloc - before.TotalAlloc; got > 3<<20 {
+			t.Fatalf("%s: ReadBinary allocated %d bytes for a %d-byte input", name, got, len(data))
+		}
+	}
+}
+
+// FuzzReadBinary feeds arbitrary bytes to ReadBinary: it must return an
+// error or sessions whose WriteBinary reproduces the bytes it consumed, and
+// never panic.
+func FuzzReadBinary(f *testing.F) {
+	var buf bytes.Buffer
+	if err := WriteBinary(&buf, []corpus.Session{{UserType: 1, Items: []int32{3, 0, 7}}, {UserType: 0}}); err != nil {
+		f.Fatal(err)
+	}
+	f.Add(buf.Bytes())
+	f.Add(buf.Bytes()[:20])
+	f.Add(binaryFile(1 << 28))
+	f.Add(binaryFile(1, 0, 1<<20, 5))
+	f.Add(binaryFile(0))
+	f.Fuzz(func(t *testing.T, data []byte) {
+		sessions, err := ReadBinary(bytes.NewReader(data), 0)
+		if err != nil {
+			return
+		}
+		var out bytes.Buffer
+		if err := WriteBinary(&out, sessions); err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.HasPrefix(data, out.Bytes()) {
+			t.Fatalf("WriteBinary(ReadBinary(data)) is not a prefix of data: %d vs %d bytes", out.Len(), len(data))
+		}
+	})
 }

@@ -21,28 +21,64 @@ import (
 // its attention. A NaN dot product means a diverged row: a NaN positive
 // skips the whole pair and a NaN negative skips that negative, rather than
 // poisoning the rest of the model.
+//
+// The result is bit-identical to taking the steps one at a time, each
+// computing its dot product just before its update. Pair computes every
+// dot product up front in one vecmath.Dots call instead: v is never
+// written, and a row's update comes after its own dot product, so only a
+// row drawn a second time (a repeated negative, or a negative equal to
+// pos) sees an earlier step's update, and it is dotted again at its turn.
+// v and grad must not share memory with the output rows, which are either
+// the same row or disjoint.
 func Pair(v, grad, pos []float32, negs [][]float32, lr float32) []float32 {
 	vecmath.Zero(grad)
-	if pos != nil && !step(1, v, pos, grad, lr) {
-		return grad
+	var rowBuf [pairBuf][]float32
+	var dotBuf [pairBuf]float32
+	rows := rowBuf[:0]
+	if pos != nil {
+		rows = append(rows, pos)
 	}
-	for _, c := range negs {
-		step(0, v, c, grad, lr)
+	rows = append(rows, negs...)
+	dots := dotBuf[:]
+	if len(rows) > len(dots) {
+		dots = make([]float32, len(rows))
+	}
+	dots = dots[:len(rows)]
+	vecmath.Dots(dots, v, rows)
+	for k, c := range rows {
+		dot := dots[k]
+		if repeats(rows[:k], c) {
+			dot = vecmath.Dot(v, c)
+		}
+		label := float32(0)
+		if k == 0 && pos != nil {
+			if dot != dot {
+				return grad
+			}
+			label = 1
+		} else if dot != dot {
+			continue
+		}
+		vecmath.AxpyPair((label-vecmath.Sigmoid(dot))*lr, v, c, grad)
 	}
 	return grad
 }
 
-// step is one logistic-loss gradient step of v against output row c. It
-// reports false, touching nothing, when the dot product is NaN.
-func step(label float32, v, c, grad []float32, lr float32) bool {
-	dot := vecmath.Dot(v, c)
-	if dot != dot {
+// pairBuf rows fit Pair's stack buffers: the positive plus the paper's
+// production budget of 20 negatives, with room to spare.
+const pairBuf = 32
+
+// repeats reports whether output row c is one of rows (the same memory).
+func repeats(rows [][]float32, c []float32) bool {
+	if len(c) == 0 {
 		return false
 	}
-	g := (label - vecmath.Sigmoid(dot)) * lr
-	vecmath.Axpy(g, c, grad)
-	vecmath.Axpy(g, v, c)
-	return true
+	for _, r := range rows {
+		if &r[0] == &c[0] {
+			return true
+		}
+	}
+	return false
 }
 
 // KeepProb is the Mikolov subsampling probability of KEEPING one

@@ -1,8 +1,9 @@
 // Retrieval scoring kernels: batch dot products of one query against a
 // block of contiguous matrix rows. This is the hot loop of the matching
-// stage — a top-k scan touches every item row — so unlike the training
-// kernels above it is allowed an arch-specific SIMD implementation, with a
-// pure-Go reference kept bit-compatible for every other platform.
+// stage — a top-k scan touches every item row. Like the training kernels
+// it has an AVX implementation and a pure-Go reference kept bit-compatible
+// for every other platform, but it follows its own, wider schedule rather
+// than the training kernels' 4-lane one.
 //
 // Both implementations follow one fixed accumulation schedule (the
 // "16-lane schedule"): lane j accumulates elements i ≡ j (mod 16), lanes

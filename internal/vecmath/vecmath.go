@@ -5,36 +5,53 @@
 //
 // All embedding math in this repository is float32: at billion scale the
 // paper's engine is memory-bound, and float32 halves both footprint and
-// memory traffic versus float64 with no measurable loss for SGNS. Kernels
-// are manually 4-way unrolled, which the Go compiler turns into reasonable
-// scalar code; this is the portable, stdlib-only equivalent of the SIMD
-// loops a production engine would carry.
+// memory traffic versus float64 with no measurable loss for SGNS.
+//
+// The training kernels — Dot, Dots, Axpy and AxpyPair — follow one fixed
+// arithmetic (the "4-lane schedule"): a dot product accumulates lane j over
+// elements i ≡ j (mod 4) in ascending order, reduces the lanes as
+// ((s0+s1)+s2)+s3, then adds the tail (i >= len&^3) sequentially; an axpy
+// is element-wise multiply-then-add. No kernel contracts a multiply-add
+// into an FMA. On amd64 with AVX they run as SIMD assembly (dot_amd64.s)
+// that keeps this schedule exactly; elsewhere, and under the purego build
+// tag, the pure-Go references in this file run instead. Both produce the
+// same bits on every input, which is what lets a trained model's bytes be
+// pinned (sgns.TestGoldenBits) independently of the platform's SIMD.
 package vecmath
 
 import "math"
 
-// Dot returns the inner product of a and b. The slices must be the same
-// length; this is enforced by a bounds hint rather than a branch so the
-// compiler can eliminate per-element checks.
+// Dot returns the inner product of a and b, with the 4-lane schedule. The
+// slices must be the same length.
 func Dot(a, b []float32) float32 {
 	if len(a) != len(b) {
 		panic("vecmath: Dot length mismatch")
 	}
-	var s0, s1, s2, s3 float32
-	i := 0
-	for ; i+4 <= len(a); i += 4 {
-		aa := a[i : i+4 : i+4]
-		bb := b[i : i+4 : i+4]
-		s0 += aa[0] * bb[0]
-		s1 += aa[1] * bb[1]
-		s2 += aa[2] * bb[2]
-		s3 += aa[3] * bb[3]
+	if useAVX {
+		var s [1]float32
+		dotsAVX(s[:], a, [][]float32{b})
+		return s[0]
 	}
-	s := s0 + s1 + s2 + s3
-	for ; i < len(a); i++ {
-		s += a[i] * b[i]
+	return dotRef(a, b)
+}
+
+// Dots computes dst[k] = Dot(v, rows[k]) for every row, in one pass over
+// the row list. Every row must have len(v) elements and dst must hold one
+// value per row.
+func Dots(dst, v []float32, rows [][]float32) {
+	if len(dst) != len(rows) {
+		panic("vecmath: Dots length mismatch")
 	}
-	return s
+	for _, r := range rows {
+		if len(r) != len(v) {
+			panic("vecmath: Dots length mismatch")
+		}
+	}
+	if useAVX {
+		dotsAVX(dst, v, rows)
+		return
+	}
+	dotsRef(dst, v, rows)
 }
 
 // Axpy computes y += alpha * x in place.
@@ -42,17 +59,68 @@ func Axpy(alpha float32, x, y []float32) {
 	if len(x) != len(y) {
 		panic("vecmath: Axpy length mismatch")
 	}
-	i := 0
-	for ; i+4 <= len(x); i += 4 {
-		xx := x[i : i+4 : i+4]
-		yy := y[i : i+4 : i+4]
-		yy[0] += alpha * xx[0]
-		yy[1] += alpha * xx[1]
-		yy[2] += alpha * xx[2]
-		yy[3] += alpha * xx[3]
+	if useAVX {
+		axpyAVX(alpha, x, y)
+		return
 	}
-	for ; i < len(x); i++ {
-		y[i] += alpha * x[i]
+	axpyRef(alpha, x, y)
+}
+
+// AxpyPair is the SGNS row update fused into one pass over the output row
+// c: grad += g·c, then c += g·v, element by element, so grad sees c's value
+// from before the update. It equals Axpy(g, c, grad) followed by
+// Axpy(g, v, c) bit for bit. The three slices must be the same length.
+func AxpyPair(g float32, v, c, grad []float32) {
+	if len(v) != len(c) || len(grad) != len(c) {
+		panic("vecmath: AxpyPair length mismatch")
+	}
+	if useAVX {
+		axpyPairAVX(g, v, c, grad)
+		return
+	}
+	axpyPairRef(g, v, c, grad)
+}
+
+// The pure-Go references below are the kernels on platforms without the
+// assembly, and the oracle the assembly is tested against. Each product is
+// converted to float32 before it is added: the explicit conversion forbids
+// the compiler from fusing the multiply-add, which it may otherwise do on
+// arm64, ppc64 or s390x, or on amd64 built for GOAMD64=v3.
+
+func dotRef(a, b []float32) float32 {
+	var s0, s1, s2, s3 float32
+	i := 0
+	for ; i+4 <= len(a); i += 4 {
+		aa := a[i : i+4 : i+4]
+		bb := b[i : i+4 : i+4]
+		s0 += float32(aa[0] * bb[0])
+		s1 += float32(aa[1] * bb[1])
+		s2 += float32(aa[2] * bb[2])
+		s3 += float32(aa[3] * bb[3])
+	}
+	s := s0 + s1 + s2 + s3
+	for ; i < len(a); i++ {
+		s += float32(a[i] * b[i])
+	}
+	return s
+}
+
+func dotsRef(dst, v []float32, rows [][]float32) {
+	for k, r := range rows {
+		dst[k] = dotRef(v, r)
+	}
+}
+
+func axpyRef(alpha float32, x, y []float32) {
+	for i := range x {
+		y[i] += float32(alpha * x[i])
+	}
+}
+
+func axpyPairRef(g float32, v, c, grad []float32) {
+	for i := range c {
+		grad[i] += float32(g * c[i])
+		c[i] += float32(g * v[i])
 	}
 }
 
